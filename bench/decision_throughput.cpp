@@ -1,26 +1,37 @@
 // Offload-decision serving throughput: scalar walk vs SoA kernel vs
-// OffloadPlanIndex lookups.
+// OffloadPlanIndex lookups, plus the kernel's table fill (prepare).
 //
-// Measures decisions/sec over a serving-sized offload search grid
-// (~6.3k candidates: 33 ω_c × 2 local CNNs × 2 edge CNNs × 3 edge counts
-// × 8 bitrates), best of 5 passes each:
+// Two offload search grids:
 //
-//   * scalar     — the pre-kernel path: XrPerformanceModel::evaluate per
-//                  candidate, single-thread and thread-saturated;
-//   * soa        — DecisionBatchKernel::run over the same grid;
-//   * index hits — exact-cell lookups against a small precomputed
-//                  OffloadPlanIndex (the tier that answers without any
-//                  model work at all).
+//   * serving-sized (~6.3k candidates: 33 ω_c × 2 local CNNs × 2 edge CNNs
+//     × 3 edge counts × 8 bitrates) for the single-thread legs —
+//       scalar     — the pre-kernel path: XrPerformanceModel::evaluate per
+//                    candidate, single-thread and thread-saturated;
+//       soa        — DecisionBatchKernel::run, single-thread;
+//   * sweep-sized (~1.19 M candidates: 129 ω_c × 9 local CNNs × 2 edge
+//     CNNs × 8 edge counts × 32 bitrates) for the legs that should scale
+//     with threads, where a 6.3k grid would only measure pool dispatch —
+//       prepare    — DecisionBatchKernel::prepare strict serial
+//                    (BatchOptions{1}) vs on the shared pool
+//                    (BatchOptions{0});
+//       saturated  — DecisionBatchKernel::run on the shared pool;
 //
-// Three gates make this a regression test, not just a report (nonzero exit
-// on failure):
+// and index hits — exact-cell lookups against a small precomputed
+// OffloadPlanIndex (the tier that answers without any model work at all).
+// Every timing is the best of 5 passes.
+//
+// Gates make this a regression test, not just a report (nonzero exit on
+// failure):
 //   1. bitwise — every SoA (latency, energy) total equals the scalar
-//      model's, across the whole grid;
+//      model's, across the serving grid; and the serial- and pool-prepared
+//      kernels give identical totals across the sweep grid;
 //   2. hoisting — devices::submodel_lookup_count() is flat across a kernel
 //      run (all CNN/codec lookups happened in prepare);
 //   3. speed — single-thread SoA ≥ 2× single-thread scalar (the measured
 //      margin is far larger; 2× keeps the gate robust to timer noise on
-//      the 1-core CI box — see ROADMAP).
+//      the 1-core CI box — see ROADMAP);
+//   4. prepare scaling — the pooled fill ≥ 1.5× the serial one when the
+//      shared pool has ≥ 3 threads (skipped, and said so, below that).
 //
 // Emits BENCH_decision_throughput.json as an obs snapshot
 // ("xr.obs.snapshot.v1"): the gate numbers are recorded as gauges (with
@@ -32,6 +43,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -42,6 +54,7 @@
 #include "runtime/decision_batch.h"
 #include "runtime/offload_search.h"
 #include "runtime/plan_index.h"
+#include "runtime/thread_pool.h"
 
 namespace {
 
@@ -62,6 +75,25 @@ xr::core::OffloadSearchSpace serving_space() {
   space.edge_cnns = {"YoloV3", "YoloV7"};
   space.edge_counts = {1, 2, 4};
   space.codec_bitrates_mbps = {1, 2, 3, 4, 5, 6, 7, 8};
+  return space;
+}
+
+/// A sweep-sized search space (≥ 10⁶ candidates): every on-device CNN of
+/// Table II, one to eight edge servers, finer ω_c and bitrate steps.
+xr::core::OffloadSearchSpace sweep_space() {
+  xr::core::OffloadSearchSpace space;
+  space.omega_c_grid.clear();
+  for (int i = 0; i <= 128; ++i) space.omega_c_grid.push_back(i / 128.0);
+  space.local_cnns = {"MobileNetv1_240_Float", "MobileNetv1_240_Quant",
+                      "MobileNetv2_300_Float", "MobileNetv2_300_Quant",
+                      "MobileNetv2_640_Float", "MobileNetv2_640_Quant",
+                      "EfficientNet_Float",    "EfficientNet_Quant",
+                      "NasNet_Float"};
+  space.edge_cnns = {"YoloV3", "YoloV7"};
+  space.edge_counts = {1, 2, 3, 4, 5, 6, 7, 8};
+  space.codec_bitrates_mbps.clear();
+  for (int i = 1; i <= 32; ++i)
+    space.codec_bitrates_mbps.push_back(0.25 * i);
   return space;
 }
 
@@ -109,8 +141,7 @@ int main() {
     return 1;
   }
   runtime::DecisionBatchKernel::Totals soa_single;
-  double soa_single_ms = 1e300, soa_saturated_ms = 1e300;
-  std::size_t saturated_threads = 1;
+  double soa_single_ms = 1e300;
   std::uint64_t lookups_during_run = 0;
   for (int pass = 0; pass < kPasses; ++pass) {
     const std::uint64_t before = devices::submodel_lookup_count();
@@ -119,11 +150,51 @@ int main() {
     soa_single_ms = std::min(soa_single_ms, totals.wall_ms);
     if (pass == 0) soa_single = std::move(totals);
   }
+
+  // ---- sweep grid: serial vs pooled prepare, saturated run -------------
+  // Serial and pooled passes alternate so host drift hits both alike.
+  const auto sweep_request = core::offload_search_request(
+      core::make_remote_scenario(), sweep_space(), 0.5);
+  std::optional<runtime::DecisionBatchKernel> serial_kernel, pooled_kernel;
+  double prepare_serial_ms = 1e300, prepare_pooled_ms = 1e300;
   for (int pass = 0; pass < kPasses; ++pass) {
-    const auto totals = kernel->run(runtime::BatchOptions{0});
+    auto start = Clock::now();
+    serial_kernel = runtime::DecisionBatchKernel::prepare(
+        sweep_request.grid, model, runtime::BatchOptions{1});
+    prepare_serial_ms = std::min(prepare_serial_ms, ms_since(start));
+    start = Clock::now();
+    pooled_kernel = runtime::DecisionBatchKernel::prepare(
+        sweep_request.grid, model, runtime::BatchOptions{0});
+    prepare_pooled_ms = std::min(prepare_pooled_ms, ms_since(start));
+  }
+  if (!serial_kernel || !pooled_kernel) {
+    std::fprintf(stderr,
+                 "decision_throughput: kernel refused the sweep grid\n");
+    return 1;
+  }
+  const std::size_t sweep_n = pooled_kernel->size();
+  double soa_saturated_ms = 1e300;
+  std::size_t saturated_threads = 1;
+  runtime::DecisionBatchKernel::Totals pooled_totals;
+  for (int pass = 0; pass < kPasses; ++pass) {
+    auto totals = pooled_kernel->run(runtime::BatchOptions{0});
     soa_saturated_ms = std::min(soa_saturated_ms, totals.wall_ms);
     saturated_threads = totals.threads;
+    if (pass == 0) pooled_totals = std::move(totals);
   }
+  const auto serial_totals = serial_kernel->run(runtime::BatchOptions{0});
+  const bool prepare_identical =
+      serial_totals.latency_ms == pooled_totals.latency_ms &&
+      serial_totals.energy_mj == pooled_totals.energy_mj;
+  const double prepare_speedup =
+      prepare_pooled_ms > 0 ? prepare_serial_ms / prepare_pooled_ms : 0.0;
+  const std::size_t pool_threads = runtime::ThreadPool::shared().size();
+  const bool prepare_gated = pool_threads >= 3;
+  const bool prepare_scales = !prepare_gated || prepare_speedup >= 1.5;
+  if (!prepare_gated)
+    std::printf("decision_throughput: prepare speedup %.2fx not gated "
+                "(shared pool has %zu threads, the gate needs >= 3)\n",
+                prepare_speedup, pool_threads);
 
   bool identical = true;
   for (std::size_t i = 0; identical && i < n; ++i)
@@ -186,7 +257,7 @@ int main() {
   const double scalar_single_ps = per_sec(n, scalar_single_ms);
   const double scalar_saturated_ps = per_sec(n, scalar_saturated_ms);
   const double soa_single_ps = per_sec(n, soa_single_ms);
-  const double soa_saturated_ps = per_sec(n, soa_saturated_ms);
+  const double soa_saturated_ps = per_sec(sweep_n, soa_saturated_ms);
   const double index_ps = per_sec(kLookups, lookup_ms);
   const bool hoisted = lookups_during_run == 0;
   const bool fast_enough = soa_single_ps >= 2.0 * scalar_single_ps;
@@ -204,6 +275,13 @@ int main() {
   xr::bench::bench_number("index_lookups_per_sec", index_ps);
   xr::bench::bench_number("wall_ms", soa_single_ms);
   xr::bench::bench_number("parallel_candidates_per_sec", soa_saturated_ps);
+  xr::bench::bench_number("sweep_grid_candidates", double(sweep_n));
+  xr::bench::bench_number("sweep_table_entries",
+                          double(pooled_kernel->table_entries()));
+  xr::bench::bench_number("prepare_serial_ms", prepare_serial_ms);
+  xr::bench::bench_number("prepare_pooled_ms", prepare_pooled_ms);
+  xr::bench::bench_number("prepare_speedup", prepare_speedup);
+  xr::bench::bench_number("prepare_identical", prepare_identical ? 1 : 0);
   xr::bench::bench_number("identical", identical ? 1 : 0);
   xr::bench::bench_number("lookups_hoisted", hoisted ? 1 : 0);
   const std::string path =
@@ -224,5 +302,18 @@ int main() {
                  "decision_throughput: single-thread SoA %.0f/s < 2x scalar "
                  "%.0f/s\n",
                  soa_single_ps, scalar_single_ps);
-  return identical && hoisted && fast_enough ? 0 : 1;
+  if (!prepare_identical)
+    std::fprintf(stderr,
+                 "decision_throughput: serial- and pool-prepared kernels "
+                 "gave different totals on the sweep grid\n");
+  if (!prepare_scales)
+    std::fprintf(stderr,
+                 "decision_throughput: pooled prepare %.1f ms is only %.2fx "
+                 "serial %.1f ms on %zu threads (gate: >= 1.5x)\n",
+                 prepare_pooled_ms, prepare_speedup, prepare_serial_ms,
+                 pool_threads);
+  return identical && hoisted && fast_enough && prepare_identical &&
+                 prepare_scales
+             ? 0
+             : 1;
 }

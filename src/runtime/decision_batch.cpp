@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <exception>
 #include <string>
 
 #include "core/energy_model.h"
@@ -137,6 +138,33 @@ constexpr const char* kKnownKnobs[] = {
     "frame_size", "cpu_ghz",    "omega_c",  "codec_mbps", "throughput_mbps",
     "edge_count", "placement",  "local_cnn", "edge_cnn"};
 
+/// Run `body` on the pool the BatchOptions convention names: 0 the
+/// process-wide shared pool, N a dedicated pool of N workers (a pool of 1
+/// runs everything inline on the caller — the strict serial path).
+template <typename Body>
+void on_pool(const BatchOptions& options, Body&& body) {
+  if (options.threads == 0) {
+    body(ThreadPool::shared());
+  } else {
+    ThreadPool pool(options.threads);
+    body(pool);
+  }
+}
+
+/// Smallest auto chunk, in items: a run() candidate costs tens of ns, a
+/// prepare() table entry (one materialized, validated scenario) about 1 µs,
+/// so each floor keeps a chunk well above the cost of claiming it.
+constexpr std::size_t kRunMinChunk = 1024;
+constexpr std::size_t kPrepareMinChunk = 64;
+
+/// Consecutive items per task when splitting `n` over `pool`: the caller's
+/// grain, else ~8 chunks per worker, never below `floor`.
+std::size_t chunk_length(std::size_t n, std::size_t grain, std::size_t floor,
+                         const ThreadPool& pool) {
+  if (grain) return grain;
+  return std::max(floor, n / (8 * pool.size()) + 1);
+}
+
 }  // namespace
 
 void set_batch_decision_kernel(bool enabled) noexcept {
@@ -148,7 +176,8 @@ bool batch_decision_kernel_enabled() noexcept {
 }
 
 std::optional<DecisionBatchKernel> DecisionBatchKernel::prepare(
-    const GridSpec& spec, const core::XrPerformanceModel& model) {
+    const GridSpec& spec, const core::XrPerformanceModel& model,
+    const BatchOptions& options) {
   const obs::Span span("kernel.prepare");
   const auto prep_start = std::chrono::steady_clock::now();
   for (const AxisSpec& axis : spec.axes) {
@@ -171,41 +200,49 @@ std::optional<DecisionBatchKernel> DecisionBatchKernel::prepare(
   const core::RadioPowerConfig& radio = model.energy_model().radio();
   const auto& recipes = segment_recipes();
 
+  // Shape every table first: its dependency axes, in declaration order
+  // (the order the strides below assume), and its zeroed entries.
+  std::array<std::vector<std::size_t>, 11> dep_axes;
+  std::size_t total_entries = 0;
   for (std::size_t seg = 0; seg < recipes.size(); ++seg) {
-    const SegmentRecipe& recipe = recipes[seg];
     SegmentTable& table = kernel.tables_[seg];
-
-    // This segment's axes, in declaration order (the order the strides
-    // below assume).
-    std::vector<std::size_t> dep_axes;
     for (std::size_t k = 0; k < spec.axes.size(); ++k)
-      for (const char* dep : recipe.deps)
+      for (const char* dep : recipes[seg].deps)
         if (spec.axes[k].knob == dep) {
-          dep_axes.push_back(k);
+          dep_axes[seg].push_back(k);
           break;
         }
 
     std::size_t entries = 1;
-    for (std::size_t a : dep_axes) entries *= kernel.radix_[a];
-    table.terms.resize(dep_axes.size());
+    for (std::size_t a : dep_axes[seg]) entries *= kernel.radix_[a];
+    table.terms.resize(dep_axes[seg].size());
     std::size_t stride = 1;
-    for (std::size_t j = dep_axes.size(); j-- > 0;) {
-      table.terms[j] = SegmentTable::IndexTerm{dep_axes[j], stride};
-      stride *= kernel.radix_[dep_axes[j]];
+    for (std::size_t j = dep_axes[seg].size(); j-- > 0;) {
+      table.terms[j] = SegmentTable::IndexTerm{dep_axes[seg][j], stride};
+      stride *= kernel.radix_[dep_axes[seg][j]];
     }
     table.latency_ms.assign(entries, 0.0);
     table.energy_mj.assign(entries, 0.0);
+    total_entries += entries;
+  }
 
-    // Materialize one real scenario per dependency tuple — through the
-    // grid's own appliers, never a re-implementation of them — and read
-    // the segment off the same compiled model methods the scalar path
-    // calls. Non-dependency coordinates stay pinned at 0.
+  // Fill entries [begin, end) of one segment's table. Materialize one real
+  // scenario per dependency tuple — through the grid's own appliers, never
+  // a re-implementation of them — and read the segment off the same
+  // compiled model methods the scalar path calls. Non-dependency
+  // coordinates stay pinned at 0. Each entry is a pure function of its
+  // tuple written to its own slot, so the tables are identical for every
+  // split of the work across threads.
+  const auto fill = [&](std::size_t seg, std::size_t begin, std::size_t end) {
+    const SegmentRecipe& recipe = recipes[seg];
+    const std::vector<std::size_t>& axes = dep_axes[seg];
+    SegmentTable& table = kernel.tables_[seg];
     std::vector<std::size_t> coords(kernel.radix_.size(), 0);
-    for (std::size_t flat = 0; flat < entries; ++flat) {
+    for (std::size_t flat = begin; flat < end; ++flat) {
       std::size_t rest = flat;
-      for (std::size_t j = dep_axes.size(); j-- > 0;) {
-        coords[dep_axes[j]] = rest % kernel.radix_[dep_axes[j]];
-        rest /= kernel.radix_[dep_axes[j]];
+      for (std::size_t j = axes.size(); j-- > 0;) {
+        coords[axes[j]] = rest % kernel.radix_[axes[j]];
+        rest /= kernel.radix_[axes[j]];
       }
       const core::ScenarioConfig s = grid.at(grid.index_of(coords));
       core::validate(s);
@@ -243,7 +280,40 @@ std::optional<DecisionBatchKernel> DecisionBatchKernel::prepare(
           break;
       }
     }
-  }
+  };
+
+  on_pool(options, [&](ThreadPool& pool) {
+    // One task list over every segment, in serial fill order, so small
+    // tables share workers with the large ones under a single barrier.
+    struct FillTask {
+      std::size_t seg, begin, end;
+    };
+    const std::size_t chunk = chunk_length(total_entries, options.grain,
+                                           kPrepareMinChunk, pool);
+    std::vector<FillTask> tasks;
+    for (std::size_t seg = 0; seg < recipes.size(); ++seg) {
+      const std::size_t entries = kernel.tables_[seg].latency_ms.size();
+      for (std::size_t b = 0; b < entries; b += chunk)
+        tasks.push_back({seg, b, std::min(entries, b + chunk)});
+    }
+    // A task stops at its first refused tuple; the caller gets the refusal
+    // of the earliest task, which is the one the serial fill would have
+    // met first — the same exception at every thread count.
+    std::vector<std::exception_ptr> errors(tasks.size());
+    pool.parallel_for(
+        tasks.size(),
+        [&](std::size_t t) {
+          try {
+            fill(tasks[t].seg, tasks[t].begin, tasks[t].end);
+          } catch (...) {
+            errors[t] = std::current_exception();
+          }
+        },
+        1);
+    for (const std::exception_ptr& error : errors)
+      if (error) std::rethrow_exception(error);
+  });
+
   KernelMetrics& metrics = KernelMetrics::get();
   metrics.prepares.add();
   metrics.prepare_ms.observe(std::chrono::duration<double, std::milli>(
@@ -317,35 +387,21 @@ DecisionBatchKernel::Totals DecisionBatchKernel::run(
   out.energy_mj.resize(size_);
   const auto start = std::chrono::steady_clock::now();
 
-  if (options.threads == 1) {
-    eval_range(0, size_, out.latency_ms.data(), out.energy_mj.data());
-    out.threads = 1;
-  } else {
-    const auto run_on = [&](ThreadPool& pool) {
-      out.threads = pool.size();
-      // Chunks of consecutive indices so each task pays one odometer seed;
-      // writes land in disjoint ranges, so results are thread-invariant.
-      const std::size_t chunk =
-          options.grain
-              ? options.grain
-              : std::max<std::size_t>(1024, size_ / (8 * pool.size()) + 1);
-      const std::size_t chunks = (size_ + chunk - 1) / chunk;
-      pool.parallel_for(
-          chunks,
-          [&](std::size_t c) {
-            const std::size_t b = c * chunk;
-            eval_range(b, std::min(size_, b + chunk), out.latency_ms.data(),
-                       out.energy_mj.data());
-          },
-          1);
-    };
-    if (options.threads == 0) {
-      run_on(ThreadPool::shared());
-    } else {
-      ThreadPool pool(options.threads);
-      run_on(pool);
-    }
-  }
+  on_pool(options, [&](ThreadPool& pool) {
+    out.threads = pool.size();
+    // Chunks of consecutive indices so each task pays one odometer seed;
+    // writes land in disjoint ranges, so results are thread-invariant.
+    const std::size_t chunk =
+        chunk_length(size_, options.grain, kRunMinChunk, pool);
+    pool.parallel_for(
+        (size_ + chunk - 1) / chunk,
+        [&](std::size_t c) {
+          const std::size_t b = c * chunk;
+          eval_range(b, std::min(size_, b + chunk), out.latency_ms.data(),
+                     out.energy_mj.data());
+        },
+        1);
+  });
 
   out.wall_ms = std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - start)
@@ -379,7 +435,9 @@ std::optional<shard::MergedSummary> try_run_request_batched(
   // is nothing to hoist; only the pure analytical model factors by axis.
   if (request.adaptive || request.evaluator.is_ground_truth())
     return std::nullopt;
-  const auto kernel = DecisionBatchKernel::prepare(request.grid, model);
+  const auto kernel = DecisionBatchKernel::prepare(
+      request.grid, model,
+      BatchOptions{request.execution.threads, request.execution.grain});
   if (!kernel) return std::nullopt;
   return kernel->run_summary(request.fingerprint(), request.execution);
 }

@@ -15,7 +15,12 @@
 //     the axes that segment reads (its "dependency tuple"), filled by
 //     calling the same compiled LatencyModel/PowerModel methods the scalar
 //     path calls. All memo-table lookups, string resolutions, validation,
-//     and placement branches happen here, once per request.
+//     and placement branches happen here, once per request. The fill runs
+//     on the request's pool (chunks of consecutive entries across all
+//     segments): every entry is a pure function of its tuple written to
+//     its own slot, so the tables are bitwise identical at every thread
+//     count, and a refused tuple surfaces as the same exception the serial
+//     fill would throw.
 //   * run() then evaluates candidates column-wise (structure-of-arrays):
 //     the per-candidate loop is a mixed-radix odometer over the axis
 //     coordinates, ~11 table loads, and a fixed chain of additions — no
@@ -81,9 +86,14 @@ class DecisionBatchKernel {
   /// Hoist the grid into per-segment tables. Returns nullopt when an axis
   /// knob is outside the kernel's dependency map (future knobs fall back
   /// to the scalar path rather than risking a silent mismatch). Throws
-  /// what GridSpec::build / core::validate throw on invalid grids.
+  /// what GridSpec::build / core::validate throw on invalid grids — for a
+  /// grid with several refused tuples, the first in serial fill order.
+  /// The table fill follows the BatchOptions convention (0 shared pool,
+  /// 1 strict serial, N dedicated; grain = table entries per task); the
+  /// tables are identical for every thread count.
   [[nodiscard]] static std::optional<DecisionBatchKernel> prepare(
-      const GridSpec& spec, const core::XrPerformanceModel& model = {});
+      const GridSpec& spec, const core::XrPerformanceModel& model = {},
+      const BatchOptions& options = {});
 
   /// Candidate count of the grid.
   [[nodiscard]] std::size_t size() const noexcept { return size_; }

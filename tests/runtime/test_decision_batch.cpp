@@ -8,9 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <typeinfo>
 #include <vector>
 
 #include "core/framework.h"
@@ -185,6 +187,119 @@ TEST(DecisionBatchKernel, FallsBackWhenDisabledOrIneligible) {
     gt.evaluator.kind = shard::EvaluatorKind::kGroundTruth;
     EXPECT_FALSE(try_run_request_batched(gt, model).has_value());
   }
+}
+
+// ---- parallel prepare ---------------------------------------------------
+
+/// An offload search widened by client-clock and frame-size axes until its
+/// largest table — remote inference, which reads every axis but the local
+/// CNN — holds 4·4·51·2·4·8·2 = 104,448 entries, so a pooled fill splits
+/// into many chunks.
+SweepRequest large_prepare_request() {
+  core::OffloadSearchSpace space;
+  space.omega_c_grid.clear();
+  for (int i = 0; i <= 50; ++i) space.omega_c_grid.push_back(i / 50.0);
+  space.local_cnns = {"MobileNetv2_300_Float"};
+  space.edge_cnns = {"YoloV3", "YoloV7"};
+  space.edge_counts = {1, 2, 3, 4};
+  space.codec_bitrates_mbps = {1, 2, 3, 4, 5, 6, 7, 8};
+  auto request =
+      core::offload_search_request(core::make_remote_scenario(), space, 0.5);
+  AxisSpec cpu;
+  cpu.knob = "cpu_ghz";
+  cpu.numbers = {1.0, 1.5, 2.0, 2.5};
+  AxisSpec frame;
+  frame.knob = "frame_size";
+  frame.numbers = {300, 400, 500, 700};
+  request.grid.axes.insert(request.grid.axes.begin(), {cpu, frame});
+  return request;
+}
+
+/// A summary's deterministic bytes (its wall-time stats cleared).
+std::string summary_bytes(shard::MergedSummary summary) {
+  summary.stats = {};
+  return summary.to_json().dump();
+}
+
+// The table fill is a pure function of each tuple written to its own slot:
+// every prepare thread count yields the same tables, hence the same run()
+// totals and the same run_request summary bytes.
+TEST(DecisionBatchKernel, PrepareIsThreadInvariant) {
+  const core::XrPerformanceModel model;
+  auto request = large_prepare_request();
+  std::size_t remote_inference_entries = 1;
+  for (const AxisSpec& axis : request.grid.axes)
+    if (axis.knob != "local_cnn")
+      remote_inference_entries *=
+          std::max(axis.numbers.size(), axis.strings.size());
+  ASSERT_GE(remote_inference_entries, 100000u);
+
+  const auto reference = DecisionBatchKernel::prepare(
+      request.grid, model, BatchOptions{1});
+  ASSERT_TRUE(reference.has_value());
+  ASSERT_GE(reference->table_entries(), remote_inference_entries);
+  const auto reference_totals = reference->run(BatchOptions{1});
+  request.execution.threads = 1;
+  const std::string reference_summary =
+      summary_bytes(run_request(request, model));
+
+  for (const std::size_t threads : {std::size_t(2), std::size_t(7),
+                                    std::size_t(0)}) {
+    const std::string label = "prepare threads=" + std::to_string(threads);
+    const auto kernel = DecisionBatchKernel::prepare(request.grid, model,
+                                                     BatchOptions{threads});
+    ASSERT_TRUE(kernel.has_value()) << label;
+    EXPECT_EQ(kernel->table_entries(), reference->table_entries()) << label;
+    const auto totals = kernel->run(BatchOptions{1});
+    ASSERT_EQ(totals.latency_ms, reference_totals.latency_ms) << label;
+    ASSERT_EQ(totals.energy_mj, reference_totals.energy_mj) << label;
+
+    request.execution.threads = threads;
+    EXPECT_EQ(summary_bytes(run_request(request, model)), reference_summary)
+        << label;
+  }
+}
+
+// A grid core::validate refuses only in places: the last ω_c value is out
+// of range, so the ω_c-reading segments fail at the tail of their tables,
+// and a zero throughput fails rendering (segment 3) at its second entry.
+// With one task per segment (the large grain), a pooled fill meets the
+// rendering refusal long before segment 0's tail, yet prepare must report
+// what the serial fill reports — the first refused tuple in fill order.
+TEST(DecisionBatchKernel, PrepareRethrowsTheSerialRefusalAtAnyThreadCount) {
+  const core::XrPerformanceModel model;
+  GridSpec spec;
+  spec.factory = "remote";
+  AxisSpec omega;
+  omega.knob = "omega_c";
+  for (int i = 0; i < 2000; ++i) omega.numbers.push_back(i / 2000.0);
+  omega.numbers.push_back(1.5);
+  AxisSpec cpu;
+  cpu.knob = "cpu_ghz";
+  cpu.numbers = {1.0, 2.0, 3.0};
+  AxisSpec frame;
+  frame.knob = "frame_size";
+  frame.numbers = {300, 500, 700};
+  AxisSpec throughput;
+  throughput.knob = "throughput_mbps";
+  throughput.numbers = {100, 0};
+  spec.axes = {omega, cpu, frame, throughput};
+
+  const auto refusal = [&](const BatchOptions& options) -> std::string {
+    try {
+      (void)DecisionBatchKernel::prepare(spec, model, options);
+    } catch (const std::exception& e) {
+      return std::string(typeid(e).name()) + ": " + e.what();
+    }
+    return "no exception";
+  };
+  const std::string serial = refusal(BatchOptions{1});
+  EXPECT_NE(serial.find("omega_c must be in [0, 1]"), std::string::npos)
+      << serial;
+  for (const std::size_t grain : {std::size_t(0), std::size_t(1) << 20})
+    for (int repeat = 0; repeat < 5; ++repeat)
+      EXPECT_EQ(refusal(BatchOptions{7, grain}), serial)
+          << "grain " << grain << " repeat " << repeat;
 }
 
 // ---- decision_at grid edges (satellite) --------------------------------
