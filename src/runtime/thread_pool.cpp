@@ -47,6 +47,14 @@ ThreadPool::ThreadPool(std::size_t threads) : state_(std::make_unique<State>()) 
   threads_ = threads;
   // A 1-thread pool runs everything inline: no workers, no queue traffic.
   if (threads_ == 1) return;
+  // Construct the telemetry the workers touch (and the bucket ladder it is
+  // built from) before any worker exists. Statics die in reverse order of
+  // construction, so a function-local pool — shared() — is joined before
+  // they are destroyed: a job still draining at process exit must not be
+  // the first to build pool_task_ms() from an already-destroyed ladder.
+  pool_tasks();
+  pool_queue_depth();
+  pool_task_ms();
   workers_.reserve(threads_);
   for (std::size_t t = 0; t < threads_; ++t)
     workers_.emplace_back([this] { worker_loop(); });

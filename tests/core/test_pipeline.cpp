@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <ostream>
 
 #include "core/framework.h"
 
@@ -57,6 +58,11 @@ struct InvalidCase {
   const char* name;
   std::function<void(ScenarioConfig&)> mutate;
 };
+
+/// Print a case as its name. gtest's default byte dump would put the
+/// string and lambda addresses into the registered test names, so every
+/// run of the binary would list them under different names.
+void PrintTo(const InvalidCase& c, std::ostream* os) { *os << c.name; }
 
 class ValidateRejects : public ::testing::TestWithParam<InvalidCase> {};
 

@@ -3,9 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <cstdlib>
 #include <stdexcept>
+#include <thread>
 #include <vector>
+
+#include "obs/registry.h"
 
 namespace xr::runtime {
 namespace {
@@ -133,6 +138,27 @@ TEST(ThreadPool, NestedParallelForDoesNotDeadlock) {
 TEST(ThreadPool, SharedPoolIsASingleton) {
   EXPECT_EQ(&ThreadPool::shared(), &ThreadPool::shared());
   EXPECT_GE(ThreadPool::shared().size(), 1u);
+}
+
+// A function-local static pool (shared() is one) is joined during static
+// destruction, so a job still running at exit finishes after every static
+// constructed later than the pool is gone. Here the latency bucket ladder
+// is first built after the pool; the worker's post-job telemetry must not
+// be built from it once it is destroyed. Threadsafe style: the child
+// re-executes the binary, so the statics start unconstructed, and the
+// pool's threads exist in the child (fork would not copy them).
+TEST(ThreadPoolDeathTest, StaticPoolDrainsAJobCleanlyAtExit) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        static ThreadPool pool(4);
+        (void)obs::Histogram::latency_bounds_ms();
+        pool.submit([] {
+          std::this_thread::sleep_for(std::chrono::milliseconds(200));
+        });
+        std::exit(0);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 }  // namespace
